@@ -20,7 +20,8 @@
 //! `poisson_requests` or the workload crate's ShareGPT-like arrival
 //! sampler via `--workload sharegpt`) under the virtual clock and prints a
 //! `ContinuousReport` as JSON — the same struct `ablation_serving`
-//! aggregates. `soak` is the CI job: it starts the real server on an
+//! aggregates — with its clock-derived fields labelled `virtual_*`.
+//! `soak` is the CI job: it starts the real server on an
 //! ephemeral port, floods it from real client sockets, and checks that
 //! every connection got an answer and every request is accounted for
 //! (`offered == served + shed + expired`).
@@ -31,10 +32,11 @@ use llmpq_model::{RefConfig, RefModel};
 use llmpq_quant::{BitAssignment, Bitwidth, Rounding};
 use llmpq_runtime::{
     poisson_requests, real_clock, serve_continuous, serve_static, AdmissionConfig,
-    AdmissionPolicy, ContinuousConfig, ContinuousReport, DistServeConfig, DistStepEngine,
-    HttpServerConfig, IterCost, KvPoolConfig, ModelStepEngine, PhasePolicy, Request, RungSwap,
-    SimStepEngine, StepEngine, Telemetry,
+    AdmissionPolicy, AdmissionStats, ContinuousConfig, ContinuousReport, DistServeConfig,
+    DistStepEngine, HttpServerConfig, IterCost, KvPoolConfig, LatencySummary, ModelStepEngine,
+    PhasePolicy, Request, RungSwap, SimStepEngine, StepEngine, Telemetry,
 };
+use serde::Serialize;
 use llmpq_workload::{
     sample_arrivals, sample_arrivals_for_duration, MicrobatchPlan, OnlineConfig, PromptLengthModel,
 };
@@ -305,11 +307,84 @@ fn sharegpt_trace(
         .collect())
 }
 
-fn report_json(mut r: ContinuousReport, keep_outputs: bool) -> String {
-    if !keep_outputs {
-        r.outputs.clear();
-    }
-    serde_json::to_string_pretty(&r).unwrap_or_else(|e| format!("{{\"error\":{e:?}}}"))
+/// A `drive` run's [`ContinuousReport`] with every clock-derived field
+/// labelled `virtual_*`: the drive advances a virtual clock by the
+/// affine `IterCost` model, so those numbers are model outputs, never
+/// measured speed (the wall-clock benchmark is `servbench`).
+#[derive(Serialize)]
+struct DriveReport {
+    mode: String,
+    stats: AdmissionStats,
+    pending_end: usize,
+    completed: usize,
+    generated_tokens: u64,
+    prefill_tokens: u64,
+    iterations: u64,
+    virtual_makespan_s: f64,
+    virtual_throughput_tok_s: f64,
+    virtual_goodput_rps: f64,
+    virtual_deadline_miss_rate: f64,
+    virtual_ttft: Option<LatencySummary>,
+    virtual_tpot: Option<LatencySummary>,
+    virtual_sojourn: Option<LatencySummary>,
+    mean_batch_occupancy: f64,
+    peak_batch: usize,
+    kv_peak_occupancy: f64,
+    kv_peak_blocks: usize,
+    preemptions: u64,
+    rung_transitions: u64,
+    outputs: Vec<DriveOutput>,
+}
+
+/// One completed request of a [`DriveReport`].
+#[derive(Serialize)]
+struct DriveOutput {
+    id: usize,
+    tokens: Vec<usize>,
+    virtual_ttft_s: f64,
+    virtual_finish_s: f64,
+    virtual_sojourn_s: f64,
+    virtual_deadline_met: bool,
+    preempted: u32,
+}
+
+fn report_json(r: ContinuousReport, keep_outputs: bool) -> String {
+    let outputs = if keep_outputs { r.outputs } else { Vec::new() };
+    let report = DriveReport {
+        mode: r.mode,
+        stats: r.stats,
+        pending_end: r.pending_end,
+        completed: r.completed,
+        generated_tokens: r.generated_tokens,
+        prefill_tokens: r.prefill_tokens,
+        iterations: r.iterations,
+        virtual_makespan_s: r.makespan_s,
+        virtual_throughput_tok_s: r.throughput_tok_s,
+        virtual_goodput_rps: r.goodput_rps,
+        virtual_deadline_miss_rate: r.deadline_miss_rate,
+        virtual_ttft: r.ttft,
+        virtual_tpot: r.tpot,
+        virtual_sojourn: r.sojourn,
+        mean_batch_occupancy: r.mean_batch_occupancy,
+        peak_batch: r.peak_batch,
+        kv_peak_occupancy: r.kv_peak_occupancy,
+        kv_peak_blocks: r.kv_peak_blocks,
+        preemptions: r.preemptions,
+        rung_transitions: r.rung_transitions,
+        outputs: outputs
+            .into_iter()
+            .map(|f| DriveOutput {
+                id: f.id,
+                tokens: f.tokens,
+                virtual_ttft_s: f.ttft_s,
+                virtual_finish_s: f.finish_s,
+                virtual_sojourn_s: f.sojourn_s,
+                virtual_deadline_met: f.deadline_met,
+                preempted: f.preempted,
+            })
+            .collect(),
+    };
+    serde_json::to_string_pretty(&report).unwrap_or_else(|e| format!("{{\"error\":{e:?}}}"))
 }
 
 fn run_drive(args: &Args, cfg: ContinuousConfig, params: &EngineParams) -> Result<ExitCode, String> {

@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn qgemm_bit_identical_to_scalar_reference(
         bits in any_pack_bits(),
-        m in 1usize..5,
+        m in 1usize..40,
         n in 1usize..40,
         k in 1usize..50,
         group in 1usize..24,

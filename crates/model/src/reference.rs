@@ -202,13 +202,15 @@ impl KvCache {
         self.len() == 0
     }
 
-    fn append(&mut self, layer: usize, k_new: &Matrix, v_new: &Matrix) {
+    /// Append rows `r0..r0 + n` of the stacked `k_new`/`v_new` to `layer`.
+    fn append_rows(&mut self, layer: usize, k_new: &Matrix, v_new: &Matrix, r0: usize, n: usize) {
+        let span = r0 * k_new.cols..(r0 + n) * k_new.cols;
         let k = &mut self.k[layer];
-        k.data.extend_from_slice(&k_new.data);
-        k.rows += k_new.rows;
+        k.data.extend_from_slice(&k_new.data[span.clone()]);
+        k.rows += n;
         let v = &mut self.v[layer];
-        v.data.extend_from_slice(&v_new.data);
-        v.rows += v_new.rows;
+        v.data.extend_from_slice(&v_new.data[span]);
+        v.rows += n;
     }
 }
 
@@ -382,7 +384,7 @@ pub fn forward_layer_with(
     x: &Matrix,
     cache: &mut KvCache,
 ) -> Matrix {
-    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, false)
+    forward_layer_inner(w, n_heads, layer_idx, x, &[x.rows], std::slice::from_mut(cache), None, false)
 }
 
 /// Like [`forward_layer_with`] with an explicit ALiBi switch — the
@@ -395,7 +397,30 @@ pub fn forward_layer_alibi(
     cache: &mut KvCache,
     alibi: bool,
 ) -> Matrix {
-    forward_layer_inner(w, n_heads, layer_idx, x, cache, None, alibi)
+    forward_layer_inner(w, n_heads, layer_idx, x, &[x.rows], std::slice::from_mut(cache), None, alibi)
+}
+
+/// One decoder layer over a *stack* of sequences: `x` holds
+/// `rows[0] + rows[1] + …` rows, sequence `s`'s `rows[s]` consecutive
+/// rows attending (causally) against `caches[s]`, which gets this
+/// step's K/V appended. Prefill chunks and decode steps mix freely.
+///
+/// The projections and MLP run once over all rows (m = total rows), so
+/// a packed weight tile is dequantized once per layer instead of once
+/// per sequence; attention runs per sequence against its own cache.
+/// Every row-wise op (LayerNorm, GEMM, bias, GELU) computes a row
+/// independently of the others, so each sequence's output is
+/// bit-identical to running it alone through [`forward_layer_alibi`].
+pub fn forward_layer_stacked(
+    w: &LayerWeights,
+    n_heads: usize,
+    layer_idx: usize,
+    x: &Matrix,
+    rows: &[usize],
+    caches: &mut [KvCache],
+    alibi: bool,
+) -> Matrix {
+    forward_layer_inner(w, n_heads, layer_idx, x, rows, caches, None, alibi)
 }
 
 /// The ALiBi slope of attention head `h` out of `n`: `2^(−8(h+1)/n)`
@@ -414,23 +439,33 @@ pub fn forward_layer_taps(
     cache: &mut KvCache,
 ) -> (Matrix, OperatorTaps) {
     let mut taps = None;
-    let out = forward_layer_inner(w, n_heads, layer_idx, x, cache, Some(&mut taps), false);
+    let out = forward_layer_inner(
+        w,
+        n_heads,
+        layer_idx,
+        x,
+        &[x.rows],
+        std::slice::from_mut(cache),
+        Some(&mut taps),
+        false,
+    );
     (out, taps.expect("taps requested but not produced"))
 }
 
+#[allow(clippy::too_many_arguments)] // the shared body of every forward entry point
 fn forward_layer_inner(
     w: &LayerWeights,
     n_heads: usize,
     layer_idx: usize,
     x: &Matrix,
-    cache: &mut KvCache,
+    rows: &[usize],
+    caches: &mut [KvCache],
     taps: Option<&mut Option<OperatorTaps>>,
     alibi: bool,
 ) -> Matrix {
+    assert_eq!(rows.len(), caches.len(), "one cache per segment");
+    assert_eq!(rows.iter().sum::<usize>(), x.rows, "segments must cover the stacked rows");
     let h = x.cols;
-    let head_dim = h / n_heads;
-    let t_new = x.rows;
-    let past = cache.k[layer_idx].rows;
 
     // --- Attention block (pre-LN) ---
     let mut xn = x.clone();
@@ -441,50 +476,22 @@ fn forward_layer_inner(
     add_bias(&mut k, &w.bk);
     let mut v = w.wv.forward_t(&xn);
     add_bias(&mut v, &w.bv);
-    cache.append(layer_idx, &k, &v);
-    let k_all = &cache.k[layer_idx];
-    let v_all = &cache.v[layer_idx];
-    let t_all = k_all.rows;
-
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut attn_out = Matrix::zeros(t_new, h);
-    for head in 0..n_heads {
-        let lo = head * head_dim;
-        let hi = lo + head_dim;
-        // Scores: (t_new × t_all) for this head, causally masked.
-        let mut scores = Matrix::zeros(t_new, t_all);
-        let slope = if alibi { alibi_slope(head, n_heads) } else { 0.0 };
-        for i in 0..t_new {
-            let qi = &q.row(i)[lo..hi];
-            let limit = past + i; // may attend to positions 0..=past+i
-            for j in 0..t_all {
-                let s = if j <= limit {
-                    let dot = {
-                        let kj = &k_all.row(j)[lo..hi];
-                        qi.iter().zip(kj).map(|(&a, &b)| a * b).sum::<f32>() * scale
-                    };
-                    // ALiBi: penalize distance linearly per head.
-                    dot - slope * (limit - j) as f32
-                } else {
-                    f32::NEG_INFINITY
-                };
-                scores.data[i * t_all + j] = s;
-            }
-        }
-        softmax_rows(&mut scores);
-        for i in 0..t_new {
-            let out_row = attn_out.row_mut(i);
-            for j in 0..t_all {
-                let p = scores.data[i * t_all + j];
-                if p == 0.0 {
-                    continue;
-                }
-                let vj = &v_all.row(j)[lo..hi];
-                for (d, &vv) in vj.iter().enumerate() {
-                    out_row[lo + d] += p * vv;
-                }
-            }
-        }
+    let mut attn_out = Matrix::zeros(x.rows, h);
+    let mut r0 = 0;
+    for (&t_new, cache) in rows.iter().zip(caches.iter_mut()) {
+        let past = cache.k[layer_idx].rows;
+        cache.append_rows(layer_idx, &k, &v, r0, t_new);
+        let span = r0 * h..(r0 + t_new) * h;
+        attend(
+            &q.data[span.clone()],
+            &cache.k[layer_idx],
+            &cache.v[layer_idx],
+            past,
+            n_heads,
+            alibi,
+            &mut attn_out.data[span],
+        );
+        r0 += t_new;
     }
     let mut attn_proj = w.wo.forward_t(&attn_out);
     add_bias(&mut attn_proj, &w.bo);
@@ -510,6 +517,64 @@ fn forward_layer_inner(
         });
     }
     out
+}
+
+/// Causal multi-head attention of one sequence's `t_new` new query rows
+/// (`q`, row-major `t_new × hidden`) over its cache (`k_all`/`v_all`,
+/// `past + t_new` rows, this step's rows already appended), written
+/// into `out` (`t_new × hidden`, zeroed).
+fn attend(
+    q: &[f32],
+    k_all: &Matrix,
+    v_all: &Matrix,
+    past: usize,
+    n_heads: usize,
+    alibi: bool,
+    out: &mut [f32],
+) {
+    let h = k_all.cols;
+    let head_dim = h / n_heads;
+    let t_new = q.len() / h;
+    let t_all = k_all.rows;
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    for head in 0..n_heads {
+        let lo = head * head_dim;
+        let hi = lo + head_dim;
+        // Scores: (t_new × t_all) for this head, causally masked.
+        let mut scores = Matrix::zeros(t_new, t_all);
+        let slope = if alibi { alibi_slope(head, n_heads) } else { 0.0 };
+        for i in 0..t_new {
+            let qi = &q[i * h + lo..i * h + hi];
+            let limit = past + i; // may attend to positions 0..=past+i
+            for j in 0..t_all {
+                let s = if j <= limit {
+                    let dot = {
+                        let kj = &k_all.row(j)[lo..hi];
+                        qi.iter().zip(kj).map(|(&a, &b)| a * b).sum::<f32>() * scale
+                    };
+                    // ALiBi: penalize distance linearly per head.
+                    dot - slope * (limit - j) as f32
+                } else {
+                    f32::NEG_INFINITY
+                };
+                scores.data[i * t_all + j] = s;
+            }
+        }
+        softmax_rows(&mut scores);
+        for i in 0..t_new {
+            let out_row = &mut out[i * h..(i + 1) * h];
+            for j in 0..t_all {
+                let p = scores.data[i * t_all + j];
+                if p == 0.0 {
+                    continue;
+                }
+                let vj = &v_all.row(j)[lo..hi];
+                for (d, &vv) in vj.iter().enumerate() {
+                    out_row[lo + d] += p * vv;
+                }
+            }
+        }
+    }
 }
 
 /// Log-softmax value at index `target`.
@@ -647,6 +712,49 @@ mod tests {
         assert_eq!(y.cols, cfg.hidden);
         assert_eq!(cache.k[0].rows, 3);
         assert_eq!(cache.k[1].rows, 0, "only layer 0 was run");
+    }
+
+    #[test]
+    fn stacked_forward_is_bit_identical_to_per_sequence() {
+        // Three sequences in one stack — a fresh prefill, a decode step
+        // over a warm cache, a prefill chunk over a warm cache — must
+        // each come out exactly as if run alone, caches included.
+        for alibi in [false, true] {
+            let model = RefModel::new(RefConfig { alibi, ..RefConfig::tiny() });
+            let (_, warm_a) = model.prefill(&[4, 9, 2]);
+            let (_, warm_b) = model.prefill(&[7]);
+            let fresh = KvCache::new(model.cfg.n_layers, model.cfg.hidden);
+            let segs = [(vec![1usize, 5, 8, 3], fresh), (vec![11], warm_a), (vec![6, 2], warm_b)];
+            let mut alone = Vec::new();
+            let mut alone_caches = Vec::new();
+            for (toks, cache) in &segs {
+                let mut c = cache.clone();
+                let mut x = model.embed_tokens(toks, c.len());
+                for l in 0..model.cfg.n_layers {
+                    x = model.forward_layer(l, &x, &mut c);
+                }
+                alone.push(x);
+                alone_caches.push(c);
+            }
+            let rows: Vec<usize> = segs.iter().map(|(t, _)| t.len()).collect();
+            let mut caches: Vec<KvCache> = segs.iter().map(|(_, c)| c.clone()).collect();
+            let mut data = Vec::new();
+            for ((toks, _), c) in segs.iter().zip(&caches) {
+                data.extend(model.embed_tokens(toks, c.len()).data);
+            }
+            let mut x = Matrix::from_vec(rows.iter().sum(), model.cfg.hidden, data);
+            for (l, w) in model.layers.iter().enumerate() {
+                x = forward_layer_stacked(w, model.cfg.n_heads, l, &x, &rows, &mut caches, alibi);
+            }
+            let mut r0 = 0;
+            for (s, want) in alone.iter().enumerate() {
+                let got = &x.data[r0 * x.cols..(r0 + rows[s]) * x.cols];
+                assert_eq!(got, &want.data[..], "segment {s} (alibi {alibi})");
+                assert_eq!(caches[s].k, alone_caches[s].k);
+                assert_eq!(caches[s].v, alone_caches[s].v);
+                r0 += rows[s];
+            }
+        }
     }
 
     #[test]

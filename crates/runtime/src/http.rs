@@ -17,7 +17,9 @@
 //! * `GET /metrics` — the plain-text [`Telemetry::metrics_text`]
 //!   snapshot (including the `serving:` block: in-flight gauge, batch
 //!   and KV occupancy, TTFT/TPOT histograms) plus a `serving_dist:`
-//!   line with the engine's live-swap epoch and restart counters.
+//!   line with the engine's live-swap epoch and restart counters, and
+//!   for a pipelined engine one `serving_stage:` line per stage with
+//!   its work items and busy seconds.
 //! * `GET /healthz` — liveness: `{"status":"ok"|"draining",
 //!   "uptime_s":…, "epoch":…, "restarts":…, "queued":…}`.
 //!
@@ -33,7 +35,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -41,6 +43,7 @@ use crate::clock::Clock;
 use crate::overload::Request;
 use crate::serve::{ContinuousConfig, ContinuousReport, ContinuousScheduler, FinishedRequest, StepEngine};
 use crate::telemetry::Telemetry;
+use crate::worker::StageMetrics;
 
 /// Parser bounds: how much of a request we are willing to buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,6 +422,9 @@ pub struct ServeStatus {
     tokens_per_req_milli: AtomicU64,
     /// Shutdown started; `/healthz` answers `"draining"`.
     pub draining: AtomicBool,
+    /// Per-stage work items and busy seconds of a pipelined engine
+    /// (empty for local engines).
+    pub stages: Mutex<Vec<StageMetrics>>,
 }
 
 /// 1/8-weight EWMA on an atomic gauge (one writer — the serve loop —
@@ -575,6 +581,11 @@ fn run_serve_loop<E: StepEngine>(
             }
         }
         let out = sched.step(now).map_err(|e| e.to_string())?;
+        if !out.idle {
+            // Before any verdict goes out: a client that saw its answer
+            // then reads `/metrics` sees the work that produced it.
+            *status.stages.lock().unwrap_or_else(PoisonError::into_inner) = sched.engine().stage_metrics();
+        }
         // Streamed tokens go out before the Done verdicts below, so a
         // streaming client sees every token and then the final record.
         for &(id, index, token) in &out.landed {
@@ -875,6 +886,12 @@ fn route(
                 st.epoch.load(Ordering::Relaxed),
                 st.restarts.load(Ordering::Relaxed),
             ));
+            for (stage, m) in st.stages.lock().unwrap_or_else(PoisonError::into_inner).iter().enumerate() {
+                text.push_str(&format!(
+                    "serving_stage: stage={stage} items={} busy_s={:.6}\n",
+                    m.items, m.busy_s
+                ));
+            }
             write_response(w, 200, "OK", "text/plain; charset=utf-8", text.as_bytes(), close)
         }
         ("POST", "/v1/completions") => {

@@ -88,7 +88,7 @@ pub use serve::{
     ContinuousScheduler, FinishedRequest, IterCost, LatencySummary, ModelStepEngine, PhasePolicy,
     SimStepEngine, StepEngine, StepError,
 };
-pub use serve::{RungSwap, StepOutcome};
+pub use serve::{IterBatch, IterRow, RungSwap, StepOutcome};
 pub use serve_dist::{ChannelRing, DistServeConfig, DistStepEngine, ServingRing};
 pub use simnet::{
     elastic_arrivals, elastic_churn_plan, elastic_seed_sweep, run_elastic, run_serving_chaos,

@@ -42,7 +42,8 @@ use crate::overload::{
     DegradationController, Request,
 };
 use crate::telemetry::Telemetry;
-use llmpq_model::RefModel;
+use crate::worker::StageMetrics;
+use llmpq_model::{forward_layer_stacked, KvCache, Matrix, RefModel};
 use llmpq_quant::{quantize_model, BitAssignment, Rounding};
 use serde::{Deserialize, Serialize};
 
@@ -113,6 +114,77 @@ impl IterCost {
     }
 }
 
+/// One sequence's share of a scheduler iteration: `tokens` fed at
+/// absolute positions `pos0..`, then — when `sample` — the next token
+/// sampled from the last position. A decode step is one token with
+/// `sample = true`; a prefill chunk is any number of tokens with
+/// `sample` set on the prompt's last chunk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IterRow {
+    /// Sequence id (as registered).
+    pub seq: u64,
+    /// Tokens to feed.
+    pub tokens: Vec<usize>,
+    /// Absolute position of `tokens[0]` (= positions already cached).
+    pub pos0: usize,
+    /// Sample a token after the last fed position.
+    pub sample: bool,
+}
+
+impl IterRow {
+    /// A prefill chunk (`sample` on the prompt's last chunk).
+    pub fn prefill(seq: u64, tokens: &[usize], pos0: usize, is_last: bool) -> Self {
+        Self { seq, tokens: tokens.to_vec(), pos0, sample: is_last }
+    }
+
+    /// A decode step: feed `last` at `pos`, sample the next token.
+    pub fn decode(seq: u64, last: usize, pos: usize) -> Self {
+        Self { seq, tokens: vec![last], pos0: pos, sample: true }
+    }
+
+    /// Whether this row is a decode step (one token, sampled). A
+    /// one-token final prefill chunk is the same computation and counts
+    /// as one.
+    pub fn is_decode(&self) -> bool {
+        self.tokens.len() == 1 && self.sample
+    }
+}
+
+/// Everything one scheduler iteration executes: at most one row per
+/// sequence, prefill chunks and decode steps mixed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IterBatch {
+    /// The rows, in the order results are returned.
+    pub rows: Vec<IterRow>,
+}
+
+impl IterBatch {
+    /// A batch of one row — how the single-row trait methods run on an
+    /// engine whose one forward path is [`StepEngine::execute`].
+    pub fn one(row: IterRow) -> Self {
+        Self { rows: vec![row] }
+    }
+}
+
+/// Refuse an iteration whose rows need more KV blocks than are free,
+/// before an engine touches any sequence — a refusal leaves every
+/// sequence as it was.
+pub(crate) fn check_kv(pool: &KvPool, batch: &IterBatch) -> Result<(), StepError> {
+    let needed: usize = batch.rows.iter().map(|r| pool.blocks_needed(r.seq, r.tokens.len())).sum();
+    if needed > pool.free_blocks() {
+        return Err(StepError::KvExhausted { needed, free: pool.free_blocks() });
+    }
+    Ok(())
+}
+
+/// The single result of a one-row [`StepEngine::execute`] call.
+pub(crate) fn only(out: Vec<Option<usize>>) -> Result<Option<usize>, StepError> {
+    match out.as_slice() {
+        [one] => Ok(*one),
+        _ => Err(StepError::Engine(format!("one-row batch returned {} results", out.len()))),
+    }
+}
+
 /// The per-iteration execution backend the scheduler drives.
 ///
 /// Object-safe: the CLI boxes one of the two implementations behind
@@ -136,6 +208,28 @@ pub trait StepEngine {
     /// One decode step: feed `last` (the previously sampled token, at
     /// absolute position `pos`) and sample the next.
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError>;
+    /// Execute a whole iteration in one call and return, per row, the
+    /// sampled token (`None` for unsampled prefill chunks). The
+    /// scheduler calls this once per iteration and lands tokens only
+    /// when it returns `Ok` — a failed call lands nothing.
+    ///
+    /// The default runs the rows one by one through
+    /// [`prefill_chunk`](Self::prefill_chunk) and
+    /// [`decode_one`](Self::decode_one); batching engines override it
+    /// and implement those two as one-row calls of this.
+    fn execute(&mut self, batch: &IterBatch) -> Result<Vec<Option<usize>>, StepError> {
+        batch
+            .rows
+            .iter()
+            .map(|r| {
+                if r.is_decode() {
+                    self.decode_one(r.seq, r.tokens[0], r.pos0).map(Some)
+                } else {
+                    self.prefill_chunk(r.seq, &r.tokens, r.pos0, r.sample)
+                }
+            })
+            .collect()
+    }
     /// Drop a sequence and free its KV (finish or preempt).
     fn release(&mut self, seq: u64);
     /// Virtual seconds one iteration costs at `rung`.
@@ -166,6 +260,11 @@ pub trait StepEngine {
     fn restarts(&self) -> u64 {
         0
     }
+    /// Per-stage execution counters of a pipelined engine, summed over
+    /// ring restarts (empty for local engines).
+    fn stage_metrics(&self) -> Vec<StageMetrics> {
+        Vec::new()
+    }
 }
 
 impl<T: StepEngine + ?Sized> StepEngine for Box<T> {
@@ -186,6 +285,9 @@ impl<T: StepEngine + ?Sized> StepEngine for Box<T> {
     }
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
         (**self).decode_one(seq, last, pos)
+    }
+    fn execute(&mut self, batch: &IterBatch) -> Result<Vec<Option<usize>>, StepError> {
+        (**self).execute(batch)
     }
     fn release(&mut self, seq: u64) {
         (**self).release(seq)
@@ -210,6 +312,9 @@ impl<T: StepEngine + ?Sized> StepEngine for Box<T> {
     }
     fn restarts(&self) -> u64 {
         (**self).restarts()
+    }
+    fn stage_metrics(&self) -> Vec<StageMetrics> {
+        (**self).stage_metrics()
     }
 }
 
@@ -483,18 +588,45 @@ impl ModelStepEngine {
     fn model(&self) -> &RefModel {
         &self.models[self.rung]
     }
+}
 
-    fn argmax(logits: &[f32]) -> usize {
-        // Same expression as `sample_from_logits` at temperature 0, so
-        // tie-breaking (last max wins under `max_by`) matches `generate`
-        // bit-for-bit without a dependency on the rng machinery.
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap()
+/// Greedy tokens for the sampled rows of `batch`, whose stacked final
+/// hidden states are `x` (`rows[i].tokens.len()` rows each): one logits
+/// projection over the last row of every sampled sequence.
+pub(crate) fn sample_rows(model: &RefModel, batch: &IterBatch, x: &Matrix) -> Vec<Option<usize>> {
+    let mut last = Vec::new();
+    let mut r0 = 0;
+    for r in &batch.rows {
+        r0 += r.tokens.len();
+        if r.sample {
+            last.extend_from_slice(x.row(r0 - 1));
+        }
     }
+    let n_sampled = last.len() / x.cols.max(1);
+    let logits = model.project_logits(&Matrix::from_vec(n_sampled, x.cols, last));
+    let mut next = 0;
+    batch
+        .rows
+        .iter()
+        .map(|r| {
+            r.sample.then(|| {
+                next += 1;
+                argmax(logits.row(next - 1))
+            })
+        })
+        .collect()
+}
+
+/// Same expression as `sample_from_logits` at temperature 0, so
+/// tie-breaking (last max wins under `max_by`) matches `generate`
+/// bit-for-bit without a dependency on the rng machinery.
+fn argmax(logits: &[f32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .map(|(i, _)| i)
+        .unwrap()
 }
 
 impl StepEngine for ModelStepEngine {
@@ -513,44 +645,47 @@ impl StepEngine for ModelStepEngine {
         pos0: usize,
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
-        let mut cache = self.store.gather(seq).map_err(|e| StepError::Engine(e.to_string()))?;
-        debug_assert_eq!(cache.len(), pos0, "prefill chunks must be contiguous");
-        let model = &self.models[self.rung];
-        let mut x = model.embed_tokens(tokens, pos0);
-        for l in 0..model.cfg.n_layers {
-            x = model.forward_layer(l, &x, &mut cache);
-        }
-        match self.store.append(seq, &cache, pos0) {
-            Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
-        if !is_last {
-            return Ok(None);
-        }
-        let logits = self.model().project_logits(&x);
-        Ok(Some(Self::argmax(logits.row(logits.rows - 1))))
+        only(self.execute(&IterBatch::one(IterRow::prefill(seq, tokens, pos0, is_last)))?)
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
-        let mut cache = self.store.gather(seq).map_err(|e| StepError::Engine(e.to_string()))?;
-        debug_assert_eq!(cache.len(), pos, "decode position must follow the cache");
-        let model = &self.models[self.rung];
-        let mut x = model.embed_tokens(&[last], pos);
-        for l in 0..model.cfg.n_layers {
-            x = model.forward_layer(l, &x, &mut cache);
+        only(self.execute(&IterBatch::one(IterRow::decode(seq, last, pos)))?)?
+            .ok_or_else(|| StepError::Engine("decode step sampled nothing".into()))
+    }
+
+    /// One stacked forward per layer over every row of the iteration
+    /// (see [`llmpq_model::forward_layer_stacked`]); each sequence
+    /// attends against its own gathered cache, so tokens stay
+    /// bit-identical to running the rows one at a time.
+    fn execute(&mut self, batch: &IterBatch) -> Result<Vec<Option<usize>>, StepError> {
+        if batch.rows.is_empty() {
+            return Ok(Vec::new());
         }
-        match self.store.append(seq, &cache, pos) {
-            Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
+        check_kv(self.store.pool(), batch)?;
+        let model = self.model();
+        let mut caches: Vec<KvCache> = Vec::with_capacity(batch.rows.len());
+        let mut data = Vec::new();
+        for r in &batch.rows {
+            let cache = self.store.gather(r.seq).map_err(|e| StepError::Engine(e.to_string()))?;
+            debug_assert_eq!(cache.len(), r.pos0, "rows must continue their sequence's cache");
+            data.extend(model.embed_tokens(&r.tokens, r.pos0).data);
+            caches.push(cache);
+        }
+        let rows: Vec<usize> = batch.rows.iter().map(|r| r.tokens.len()).collect();
+        let mut x = Matrix::from_vec(data.len() / model.cfg.hidden, model.cfg.hidden, data);
+        for (l, w) in model.layers.iter().enumerate() {
+            x = forward_layer_stacked(w, model.cfg.n_heads, l, &x, &rows, &mut caches, model.cfg.alibi);
+        }
+        for (r, cache) in batch.rows.iter().zip(&caches) {
+            match self.store.append(r.seq, cache, r.pos0) {
+                Err(crate::kvpool::KvPoolError::Exhausted { needed, free }) => {
+                    return Err(StepError::KvExhausted { needed, free })
+                }
+                Err(e) => return Err(StepError::Engine(e.to_string())),
+                Ok(()) => {}
             }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
         }
-        let logits = self.model().project_logits(&x);
-        Ok(Self::argmax(logits.row(logits.rows - 1)))
+        Ok(sample_rows(self.model(), batch, &x))
     }
 
     fn release(&mut self, seq: u64) {
@@ -1169,38 +1304,49 @@ impl<E: StepEngine> ContinuousScheduler<E> {
             self.preempt(victim, &mut prefills, &mut decodes);
         }
 
-        // Execute: prefills first (they feed TTFT), then decodes.
+        // Execute the whole iteration in one engine call: prefills first
+        // (they feed TTFT), then decodes. Nothing lands unless the call
+        // as a whole succeeds.
         let rung = self.engine.rung();
-        let mut p_tokens = 0usize;
-        let mut d_tokens = 0usize;
-        let mut first_token_slots: Vec<usize> = Vec::new();
+        let mut batch = IterBatch::default();
         for &(i, chunk) in &prefills {
             let s = &self.running[i];
-            let (id, lo) = (s.req.id as u64, s.prefilled);
+            let lo = s.prefilled;
             let tokens: Vec<usize> = (lo..lo + chunk).map(|p| s.prefix_token(p)).collect();
             // A restored sequence never samples at the end of its
             // prefix re-prefill: its next token input is the last
             // preserved token, fed through the decode path below.
             let is_last = s.resume_prefix == 0 && lo + chunk == s.req.prompt.len();
-            let got = self.engine.prefill_chunk(id, &tokens, lo, is_last)?;
-            let s = &mut self.running[i];
-            s.prefilled += chunk;
-            p_tokens += chunk;
-            if let Some(tok) = got {
-                s.generated.push(tok);
-                out.landed.push((s.req.id, 0, tok));
-                first_token_slots.push(i);
-            }
+            batch.rows.push(IterRow::prefill(s.req.id as u64, &tokens, lo, is_last));
         }
         for &i in &decodes {
             let s = &self.running[i];
             let last = *s.generated.last().expect("decode-ready has a token");
             let pos = s.req.prompt.len() + s.generated.len() - 1;
-            let tok = self.engine.decode_one(s.req.id as u64, last, pos)?;
+            batch.rows.push(IterRow::decode(s.req.id as u64, last, pos));
+        }
+        let got = self.engine.execute(&batch)?;
+        if got.len() != batch.rows.len() {
+            return Err(StepError::Engine(format!(
+                "engine returned {} results for {} rows",
+                got.len(),
+                batch.rows.len()
+            )));
+        }
+        let p_tokens: usize = prefills.iter().map(|&(_, chunk)| chunk).sum();
+        let d_tokens = decodes.len();
+        let mut first_token_slots: Vec<usize> = Vec::new();
+        let slots = prefills.iter().copied().chain(decodes.iter().map(|&i| (i, 0)));
+        for ((i, chunk), tok) in slots.zip(got) {
             let s = &mut self.running[i];
-            s.generated.push(tok);
-            out.landed.push((s.req.id, s.generated.len() - 1, tok));
-            d_tokens += 1;
+            s.prefilled += chunk;
+            if let Some(tok) = tok {
+                if s.generated.is_empty() {
+                    first_token_slots.push(i);
+                }
+                s.generated.push(tok);
+                out.landed.push((s.req.id, s.generated.len() - 1, tok));
+            }
         }
 
         let mut cost = self.engine.iteration_cost_s(rung, p_tokens, d_tokens);
@@ -1554,17 +1700,19 @@ pub fn serve_static<E: StepEngine>(
         let rung = engine.rung();
         let start = now;
 
-        // Prefill all, padded to the longest prompt (the padding is
-        // *cost*, the KV holds only real tokens).
-        let mut gens: Vec<Vec<usize>> = Vec::with_capacity(b);
+        // Prefill all in one iteration, padded to the longest prompt (the
+        // padding is *cost*, the KV holds only real tokens).
+        let mut prefill = IterBatch::default();
         for req in &batch {
             engine.register(req.id as u64).map_err(|e| e.to_string())?;
-            let first = engine
-                .prefill_chunk(req.id as u64, &req.prompt, 0, true)
-                .map_err(|e| e.to_string())?
-                .expect("full prefill returns the first token");
-            gens.push(vec![first]);
+            prefill.rows.push(IterRow::prefill(req.id as u64, &req.prompt, 0, true));
         }
+        let mut gens: Vec<Vec<usize>> = engine
+            .execute(&prefill)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .map(|t| vec![t.expect("full prefill returns the first token")])
+            .collect();
         let prefill_cost = engine.iteration_cost_s(rung, pad_prompt * b, 0);
         prefill_tokens += (pad_prompt * b) as u64;
         iterations += 1;
@@ -1575,15 +1723,16 @@ pub fn serve_static<E: StepEngine>(
         // still occupy their slot.
         let mut t_cursor = t_first;
         for _step in 1..pad_gen {
-            for (req, gen) in batch.iter().zip(gens.iter_mut()) {
-                if gen.len() < req.n_generate {
-                    let last = *gen.last().unwrap();
-                    let pos = req.prompt.len() + gen.len() - 1;
-                    let tok = engine
-                        .decode_one(req.id as u64, last, pos)
-                        .map_err(|e| e.to_string())?;
-                    gen.push(tok);
-                }
+            let live: Vec<usize> = (0..b).filter(|&i| gens[i].len() < batch[i].n_generate).collect();
+            let mut step = IterBatch::default();
+            for &i in &live {
+                let (req, gen) = (&batch[i], &gens[i]);
+                let pos = req.prompt.len() + gen.len() - 1;
+                step.rows.push(IterRow::decode(req.id as u64, *gen.last().unwrap(), pos));
+            }
+            let toks = engine.execute(&step).map_err(|e| e.to_string())?;
+            for (&i, tok) in live.iter().zip(toks) {
+                gens[i].push(tok.expect("decode rows are sampled"));
             }
             t_cursor += engine.iteration_cost_s(rung, 0, b);
             iterations += 1;

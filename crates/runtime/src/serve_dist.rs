@@ -11,6 +11,13 @@
 //! the same engine. The [`ContinuousScheduler`](crate::serve::ContinuousScheduler)
 //! runs unchanged on top.
 //!
+//! Each scheduler iteration is one [`StepEngine::execute`] call: the
+//! rows are cut into the current plan's phase-aware micro-batches
+//! (`microbatch.decode_size` decode rows or `prefill_size` prefill
+//! chunks per work item) and up to one item per stage is kept in
+//! flight, so every stage computes while the others do — the pipeline
+//! parallelism the plan was sized for.
+//!
 //! Fault model: any ring failure (crash, hang past the op deadline,
 //! wire disconnect, post-commit swap loss) marks the ring *down* and
 //! surfaces as [`StepError::RingRestarted`] on the next engine call.
@@ -30,16 +37,17 @@
 use crate::clock::{real_clock, Clock};
 use crate::engine::bits_label;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::kvpool::{KvPool, KvPoolConfig, KvPoolError};
+use crate::kvpool::{KvPool, KvPoolConfig};
 use crate::loader::load_stage_weights;
 use crate::migrate::MigrationHost;
 use crate::net::transport::{Transport, TransportRecvError, TransportSendError};
-use crate::serve::{IterCost, StepEngine, StepError};
-use crate::worker::{run_worker_ctx, WorkItem, WorkerCtx, WorkerMsg};
+use crate::serve::{check_kv, only, sample_rows, IterBatch, IterCost, IterRow, StepEngine, StepError};
+use crate::worker::{run_worker_ctx, MetricsSink, StageMetrics, WorkItem, WorkerCtx, WorkerMsg};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use llm_pq::ExecutionPlan;
 use llmpq_model::{Matrix, Phase, RefModel};
 use llmpq_quant::Rounding;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,6 +103,11 @@ pub trait ServingRing: Send {
     fn teardown(&mut self);
     /// Number of pipeline stages in the ring.
     fn n_stages(&self) -> usize;
+    /// Per-stage work counters summed over every attempt so far (empty
+    /// when the backend does not collect them).
+    fn stage_metrics(&self) -> Vec<StageMetrics> {
+        Vec::new()
+    }
 }
 
 /// In-process ring: one OS thread per stage over crossbeam channels,
@@ -113,6 +126,10 @@ pub struct ChannelRing {
     host: Arc<MigrationHost>,
     clock: Arc<dyn Clock>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// The current attempt's per-stage counters (workers flush here).
+    sink: MetricsSink,
+    /// Counters of finished attempts.
+    carried: Vec<StageMetrics>,
 }
 
 impl ChannelRing {
@@ -137,6 +154,7 @@ impl ChannelRing {
                 Arc::new(w)
             })
             .collect();
+        let n_stages = boot.stages.len();
         Ok(Self {
             stage_weights,
             n_heads: checkpoint.cfg.n_heads,
@@ -149,6 +167,8 @@ impl ChannelRing {
             host: Arc::new(MigrationHost::new(checkpoint.clone(), rounding, seed)),
             clock: real_clock(),
             threads: Vec::new(),
+            sink: Arc::new(Mutex::new(vec![StageMetrics::default(); n_stages])),
+            carried: vec![StageMetrics::default(); n_stages],
         })
     }
 
@@ -185,7 +205,7 @@ impl ServingRing for ChannelRing {
                 n_seqs: self.n_slots,
                 injector: Some(self.injector.clone()),
                 heartbeats: None,
-                sink: None,
+                sink: Some(self.sink.clone()),
                 telemetry: None,
                 bits: bits_label(&self.boot.stages[i]),
                 tick: self.tick,
@@ -209,10 +229,22 @@ impl ServingRing for ChannelRing {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // Fold the finished attempt's counters; the next one starts at 0.
+        for (total, m) in self.carried.iter_mut().zip(self.sink.lock().iter_mut()) {
+            total.add(std::mem::take(m));
+        }
     }
 
     fn n_stages(&self) -> usize {
         self.boot.stages.len()
+    }
+
+    fn stage_metrics(&self) -> Vec<StageMetrics> {
+        let mut sum = self.carried.clone();
+        for (total, m) in sum.iter_mut().zip(self.sink.lock().iter()) {
+            total.add(*m);
+        }
+        sum
     }
 }
 
@@ -231,6 +263,8 @@ struct RingIo<'a> {
     link: &'a dyn Transport,
     tick: Duration,
     clock: &'a dyn Clock,
+    /// Longest wait without progress before the ring counts as lost.
+    timeout: Duration,
     deadline: Duration,
 }
 
@@ -253,21 +287,44 @@ impl<'a> RingIo<'a> {
         }
     }
 
-    /// One work-item round trip: send, then receive until the echo with
-    /// the same step id returns from the last stage. Duplicates (older
-    /// steps) and stale migration traffic are sunk; everything fatal is
-    /// a lost ring.
-    fn roundtrip(&self, item: WorkItem) -> Result<WorkItem, RingLost> {
-        let step = item.step;
-        self.send(WorkerMsg::Work(item))?;
+    /// Pipeline `items` through the ring with up to `window` of them in
+    /// flight: send until the window is full, then receive one echo
+    /// before sending the next. Returns the echoes in `items` order.
+    /// Echoes of steps not in flight (fault-injected duplicates) and
+    /// stale migration traffic are sunk; everything fatal is a lost
+    /// ring. The op deadline restarts with every echo, so it bounds the
+    /// wait for *progress*, not the length of the whole iteration.
+    fn pipeline(&mut self, items: Vec<WorkItem>, window: usize) -> Result<Vec<WorkItem>, RingLost> {
+        let first = items.first().map_or(0, |it| it.step);
+        let mut echoes: Vec<Option<WorkItem>> = vec![None; items.len()];
+        let mut to_send = items.into_iter();
+        let (mut in_flight, mut received) = (0usize, 0usize);
+        while received < echoes.len() {
+            if in_flight < window.max(1) {
+                if let Some(item) = to_send.next() {
+                    self.send(WorkerMsg::Work(item))?;
+                    in_flight += 1;
+                    continue;
+                }
+            }
+            let it = self.recv_echo()?;
+            let idx = it.step.wrapping_sub(first) as usize;
+            if idx < received + in_flight && echoes[idx].is_none() {
+                echoes[idx] = Some(it);
+                in_flight -= 1;
+                received += 1;
+                self.deadline = self.clock.deadline(self.timeout);
+            }
+            // Otherwise a duplicate of an echo already taken: drop.
+        }
+        Ok(echoes.into_iter().map(|e| e.expect("every echo received")).collect())
+    }
+
+    /// Receive until the next work-item echo arrives from the last stage.
+    fn recv_echo(&self) -> Result<WorkItem, RingLost> {
         loop {
             match self.link.recv_msg(self.tick) {
-                Ok(WorkerMsg::Work(it)) => {
-                    if it.step == step {
-                        return Ok(it);
-                    }
-                    // Older step: a fault-injected duplicate — drop.
-                }
+                Ok(WorkerMsg::Work(it)) => return Ok(it),
                 Ok(WorkerMsg::Shutdown) => return Err(RingLost("premature shutdown".into())),
                 Ok(WorkerMsg::Protocol(e)) => return Err(RingLost(format!("protocol: {e}"))),
                 // The engine's own broadcasts wrapping the ring, or
@@ -283,7 +340,7 @@ impl<'a> RingIo<'a> {
                 }
                 Err(TransportRecvError::Timeout) => {
                     if self.clock.expired(self.deadline) {
-                        return Err(RingLost(format!("step {step} never returned")));
+                        return Err(RingLost("work item never returned".into()));
                     }
                 }
             }
@@ -470,6 +527,7 @@ impl DistStepEngine {
             link: self.link.as_deref().expect("ensure_ring established the link"),
             tick: self.cfg.tick,
             clock: &*self.clock,
+            timeout: self.cfg.op_timeout,
             deadline: self.clock.deadline(self.cfg.op_timeout),
         }
     }
@@ -539,54 +597,21 @@ impl DistStepEngine {
             .ok_or_else(|| StepError::Engine(format!("unregistered sequence {seq}")))
     }
 
-    /// Send one item through the ring and sample the last row of the
-    /// returned hidden states (greedy, same tie-breaking as the offline
-    /// engine). A lost ring marks the engine down and surfaces as
-    /// [`StepError::RingRestarted`].
-    fn forward(&mut self, slot: usize, x: Matrix, phase: Phase, sample: bool) -> Result<Option<usize>, StepError> {
-        self.ensure_ring()?;
-        let step = self.next_step;
-        self.next_step += 1;
-        let item = WorkItem {
-            step,
-            epoch: self.epoch,
-            microbatch: 0,
-            phase,
-            sent_us: 0,
-            seqs: vec![(slot, x)],
+    /// Cut the iteration into the current rung's phase-aware
+    /// micro-batches: `prefill_size` prefill chunks or `decode_size`
+    /// decode rows per work item, prefill items first. Returns each
+    /// item's phase and row indices.
+    fn microbatches(&self, batch: &IterBatch) -> Vec<(Phase, Vec<usize>)> {
+        let mb = &self.plans[self.rung].microbatch;
+        let (prefill, decode): (Vec<usize>, Vec<usize>) =
+            (0..batch.rows.len()).partition(|&i| !batch.rows[i].is_decode());
+        let cut = |rows: Vec<usize>, size: usize, phase: Phase| -> Vec<(Phase, Vec<usize>)> {
+            rows.chunks(size.max(1)).map(|c| (phase, c.to_vec())).collect()
         };
-        let res = self.io().roundtrip(item);
-        match res {
-            Ok(echo) => {
-                if !sample {
-                    return Ok(None);
-                }
-                let (_, h) = echo
-                    .seqs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| StepError::Engine("empty work item echo".into()))?;
-                let last = Matrix::from_vec(1, h.cols, h.row(h.rows - 1).to_vec());
-                let logits = self.master.project_logits(&last);
-                Ok(Some(argmax(logits.row(0))))
-            }
-            Err(RingLost(_)) => {
-                self.ring_down = true;
-                Err(StepError::RingRestarted)
-            }
-        }
+        let mut items = cut(prefill, mb.prefill_size, Phase::Prefill);
+        items.extend(cut(decode, mb.decode_size, Phase::Decode));
+        items
     }
-}
-
-/// Same expression as `sample_from_logits` at temperature 0 (last max
-/// wins), so tokens match the offline engines bit-for-bit.
-fn argmax(logits: &[f32]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap()
 }
 
 impl StepEngine for DistStepEngine {
@@ -614,39 +639,80 @@ impl StepEngine for DistStepEngine {
         pos0: usize,
         is_last: bool,
     ) -> Result<Option<usize>, StepError> {
-        let slot = self.slot_of(seq)?;
-        debug_assert_eq!(self.positions[&seq], pos0, "prefill chunks must be contiguous");
-        // Mirror the allocator first: an exhausted pool must preempt
-        // without touching the ring, exactly like the local engine.
-        match self.pool.extend(seq, tokens.len()) {
-            Err(KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
-        }
-        let x = self.master.embed_tokens(tokens, pos0);
-        let tok = self.forward(slot, x, Phase::Prefill, is_last)?;
-        *self.positions.get_mut(&seq).expect("registered") += tokens.len();
-        Ok(tok)
+        only(self.execute(&IterBatch::one(IterRow::prefill(seq, tokens, pos0, is_last)))?)
     }
 
     fn decode_one(&mut self, seq: u64, last: usize, pos: usize) -> Result<usize, StepError> {
-        let slot = self.slot_of(seq)?;
-        debug_assert_eq!(self.positions[&seq], pos, "decode position must follow the cache");
-        match self.pool.extend(seq, 1) {
-            Err(KvPoolError::Exhausted { needed, free }) => {
-                return Err(StepError::KvExhausted { needed, free })
-            }
-            Err(e) => return Err(StepError::Engine(e.to_string())),
-            Ok(()) => {}
+        only(self.execute(&IterBatch::one(IterRow::decode(seq, last, pos)))?)?
+            .ok_or_else(|| StepError::Engine("decode step sampled nothing".into()))
+    }
+
+    /// The whole iteration through the ring: embed every row, cut the
+    /// rows into the rung's phase-aware micro-batches, keep up to one
+    /// work item per stage in flight, then sample every sampled row from
+    /// one logits projection. A lost ring anywhere in the iteration
+    /// marks the engine down and surfaces as
+    /// [`StepError::RingRestarted`]; no row's result is returned.
+    fn execute(&mut self, batch: &IterBatch) -> Result<Vec<Option<usize>>, StepError> {
+        if batch.rows.is_empty() {
+            return Ok(Vec::new());
         }
-        let x = self.master.embed_tokens(&[last], pos);
-        let tok = self
-            .forward(slot, x, Phase::Decode, true)?
-            .expect("sampled decode step returns a token");
-        *self.positions.get_mut(&seq).expect("registered") += 1;
-        Ok(tok)
+        let slots = batch.rows.iter().map(|r| self.slot_of(r.seq)).collect::<Result<Vec<_>, _>>()?;
+        for r in &batch.rows {
+            debug_assert_eq!(self.positions[&r.seq], r.pos0, "rows must continue their sequence's cache");
+        }
+        // Mirror the allocator first, for the whole iteration: an
+        // exhausted pool must preempt without touching the ring, exactly
+        // like the local engine.
+        check_kv(&self.pool, batch)?;
+        for r in &batch.rows {
+            self.pool.extend(r.seq, r.tokens.len()).map_err(|e| StepError::Engine(e.to_string()))?;
+        }
+        self.ensure_ring()?;
+        let mut items = Vec::new();
+        let mut item_rows = Vec::new();
+        for (microbatch, (phase, rows)) in self.microbatches(batch).into_iter().enumerate() {
+            let seqs = rows
+                .iter()
+                .map(|&i| (slots[i], self.master.embed_tokens(&batch.rows[i].tokens, batch.rows[i].pos0)))
+                .collect();
+            let (step, epoch) = (self.next_step, self.epoch);
+            items.push(WorkItem { step, epoch, microbatch, phase, sent_us: 0, seqs });
+            self.next_step += 1;
+            item_rows.push(rows);
+        }
+        let window = self.ring.n_stages();
+        let echoes = match self.io().pipeline(items, window) {
+            Ok(e) => e,
+            Err(RingLost(_)) => {
+                self.ring_down = true;
+                return Err(StepError::RingRestarted);
+            }
+        };
+        // Reassemble the final hidden states in row order.
+        let mut hidden: Vec<Option<Matrix>> = vec![None; batch.rows.len()];
+        for (echo, rows) in echoes.into_iter().zip(item_rows) {
+            if echo.seqs.len() != rows.len() {
+                return Err(StepError::Engine(format!(
+                    "work item {} echoed {} sequences, sent {}",
+                    echo.step,
+                    echo.seqs.len(),
+                    rows.len()
+                )));
+            }
+            for ((_, h), i) in echo.seqs.into_iter().zip(rows) {
+                hidden[i] = Some(h);
+            }
+        }
+        let mut data = Vec::new();
+        for h in hidden {
+            data.extend(h.expect("every row is in one micro-batch").data);
+        }
+        let x = Matrix::from_vec(data.len() / self.master.cfg.hidden, self.master.cfg.hidden, data);
+        for r in &batch.rows {
+            *self.positions.get_mut(&r.seq).expect("registered") += r.tokens.len();
+        }
+        Ok(sample_rows(&self.master, batch, &x))
     }
 
     fn release(&mut self, seq: u64) {
@@ -703,6 +769,10 @@ impl StepEngine for DistStepEngine {
     fn restarts(&self) -> u64 {
         self.restarts
     }
+
+    fn stage_metrics(&self) -> Vec<StageMetrics> {
+        self.ring.stage_metrics()
+    }
 }
 
 impl Drop for DistStepEngine {
@@ -720,7 +790,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind};
     use crate::overload::poisson_requests;
-    use crate::serve::{serve_continuous, ContinuousConfig, ModelStepEngine, RungSwap};
+    use crate::serve::{serve_continuous, ContinuousConfig, ContinuousScheduler, ModelStepEngine, RungSwap};
     use llm_pq::StagePlan;
     use llmpq_model::RefConfig;
     use llmpq_quant::{BitAssignment, Bitwidth};
@@ -732,8 +802,10 @@ mod tests {
         RefModel::new(RefConfig::tiny())
     }
 
+    /// Two decode rows per work item: a full decode iteration is several
+    /// items, so the ring has more than one in flight.
     fn mb() -> MicrobatchPlan {
-        MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 1, decode_count: 1 }
+        MicrobatchPlan { prefill_size: 1, prefill_count: 1, decode_size: 2, decode_count: 2 }
     }
 
     /// Two-stage plan over the tiny model at uniform `bits`.
@@ -848,7 +920,104 @@ mod tests {
         };
         let dist = serve_continuous(dist_engine(Some(faults)), &reqs, c, None).expect("dist");
         assert_eq!(finished_tokens(&local), finished_tokens(&dist));
+        assert!(dist.stats.recovered > 0, "the crash landed inside the run");
         assert!(dist.stats.conserves(dist.pending_end));
+    }
+
+    #[test]
+    fn crash_on_a_later_microbatch_lands_nothing_and_recovers_exactly() {
+        // Four requests prefill in iteration 1 (four one-sequence items,
+        // ordinals 0–3 per stage); iteration 2 decodes all four as two
+        // items of two rows (ordinals 4 and 5). Stage 1 crashes on
+        // ordinal 5: the first decode micro-batch already came back,
+        // but no token of the iteration may land.
+        let reqs: Vec<crate::overload::Request> = (0..4)
+            .map(|id| crate::overload::Request {
+                id,
+                arrival_s: 0.0,
+                prompt: vec![1 + id, 7, 3 + 2 * id, 5, 11],
+                n_generate: 4,
+                deadline_s: None,
+                priority: 0,
+            })
+            .collect();
+        let c = ContinuousConfig { token_budget: 64, max_batch: 4, ..ContinuousConfig::default() };
+        let faults = FaultPlan {
+            events: vec![FaultEvent { stage: 1, step: 5, attempt: Some(0), kind: FaultKind::Crash }],
+        };
+        let mut sched = ContinuousScheduler::new(dist_engine(Some(faults)), c.clone()).expect("sched");
+        for r in &reqs {
+            assert!(sched.offer(r.clone(), 0.0));
+        }
+        let first = sched.step(0.0).expect("prefill iteration");
+        assert_eq!(first.landed.len(), 4, "every prefill samples its first token");
+        let crashed = sched.step(first.cost_s).expect("recovered, not fatal");
+        assert!(crashed.landed.is_empty(), "a failed iteration lands nothing: {:?}", crashed.landed);
+        assert_eq!(crashed.recovered, 4);
+        assert_eq!(sched.engine().stage_metrics()[1].items, 5, "first decode item had returned");
+        let mut now = first.cost_s + crashed.cost_s;
+        while sched.in_flight() + sched.queued() > 0 {
+            now += sched.step(now).expect("step").cost_s;
+        }
+        let dist = sched.into_report(now, "continuous");
+        let local = serve_continuous(local_engine(), &reqs, c, None).expect("local");
+        assert_eq!(finished_tokens(&local), finished_tokens(&dist), "recovery is exact");
+        assert!(dist.stats.conserves(dist.pending_end));
+    }
+
+    #[test]
+    fn stage_item_counts_follow_the_decode_microbatch_size() {
+        // One iteration of B decode rows is ⌈B / decode_size⌉ work items
+        // on every stage.
+        let mut eng = dist_engine(None);
+        let b = 5u64;
+        let mut prefill = IterBatch::default();
+        for seq in 0..b {
+            eng.register(seq).unwrap();
+            prefill.rows.push(IterRow::prefill(seq, &[2, 3 + seq as usize], 0, true));
+        }
+        let firsts = eng.execute(&prefill).expect("prefill");
+        let before = eng.stage_metrics();
+        assert_eq!(before.len(), 2);
+        let decode = IterBatch {
+            rows: (0..b).map(|seq| IterRow::decode(seq, firsts[seq as usize].unwrap(), 2)).collect(),
+        };
+        eng.execute(&decode).expect("decode");
+        let after = eng.stage_metrics();
+        let per_item = mb().decode_size as u64;
+        for (stage, (a, z)) in after.iter().zip(&before).enumerate() {
+            assert_eq!((a.items - z.items) as u64, b.div_ceil(per_item), "stage {stage}");
+            assert_eq!((a.seq_forwards - z.seq_forwards) as u64, b, "stage {stage}");
+            assert!(a.busy_s > z.busy_s, "stage {stage} busy time advances");
+        }
+    }
+
+    #[test]
+    fn metrics_endpoint_reports_per_stage_counters() {
+        use crate::http::{HttpServer, HttpServerConfig};
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = HttpServer::start(
+            listener,
+            dist_engine(None),
+            cfg(),
+            HttpServerConfig { vocab: checkpoint().cfg.vocab, ..HttpServerConfig::default() },
+            crate::telemetry::Telemetry::new(0),
+            real_clock(),
+        )
+        .expect("server");
+        let done = server.handle().submit(vec![1, 2, 3], 3, 0, None);
+        assert!(matches!(done, crate::http::SubmitOutcome::Done(_)), "{done:?}");
+        let mut conn = std::net::TcpStream::connect(server.addr).unwrap();
+        conn.write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut text = String::new();
+        conn.read_to_string(&mut text).unwrap();
+        // Prefill, then two decode steps: three items on each stage.
+        for stage in 0..2 {
+            let needle = format!("serving_stage: stage={stage} items=3 busy_s=");
+            assert!(text.contains(&needle), "missing {needle:?} in {text}");
+        }
+        server.shutdown().unwrap();
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::net::transport::{
 };
 use crate::telemetry::{Span, Telemetry};
 use crossbeam::channel::{Receiver, Sender};
-use llmpq_model::{forward_layer_alibi, KvCache, LayerWeights, Matrix, Phase};
+use llmpq_model::{forward_layer_stacked, KvCache, LayerWeights, Matrix, Phase};
 use llmpq_quant::Bitwidth;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -31,10 +31,19 @@ use std::time::Duration;
 pub struct StageMetrics {
     /// Work items processed (micro-batch × step units).
     pub items: usize,
-    /// Sequence-forwards executed (items × sequences per item).
+    /// Sequence-forwards executed (sequences summed over items).
     pub seq_forwards: usize,
     /// Seconds spent computing (excludes channel waits).
     pub busy_s: f64,
+}
+
+impl StageMetrics {
+    /// Fold another run's counters into these.
+    pub fn add(&mut self, other: StageMetrics) {
+        self.items += other.items;
+        self.seq_forwards += other.seq_forwards;
+        self.busy_s += other.busy_s;
+    }
 }
 
 /// Shared collection of per-stage metrics.
@@ -409,6 +418,46 @@ fn execute_swap<T: Transport>(
     Ok(SwapInstall { weights: prepared.weights, layer_start: new_start, caches: new_caches })
 }
 
+/// Why `item` cannot run against `n_seqs` cache slots, if it cannot: a
+/// slot out of range, or one slot named twice (the stacked forward
+/// needs exactly one cache per sequence).
+fn slot_violation(item: &WorkItem, n_seqs: usize) -> Option<String> {
+    let mut seen = vec![false; n_seqs];
+    for &(seq, _) in &item.seqs {
+        if seq >= n_seqs {
+            return Some(format!("sequence id {seq} out of range (batch has {n_seqs})"));
+        }
+        if std::mem::replace(&mut seen[seq], true) {
+            return Some(format!("sequence id {seq} appears twice in step {}", item.step));
+        }
+    }
+    None
+}
+
+/// Run every sequence of `item` through the shard layer-major: one
+/// stacked forward per layer over all of the item's rows, each sequence
+/// attending against its own cache slot. Slots must be distinct (see
+/// [`slot_violation`]).
+fn forward_item(weights: &[LayerWeights], ctx: &WorkerCtx, item: &mut WorkItem, caches: &mut [KvCache]) {
+    let rows: Vec<usize> = item.seqs.iter().map(|(_, x)| x.rows).collect();
+    let mut data = Vec::with_capacity(rows.iter().sum::<usize>() * ctx.hidden);
+    for (_, x) in &item.seqs {
+        data.extend_from_slice(&x.data);
+    }
+    let mut h = Matrix::from_vec(data.len() / ctx.hidden, ctx.hidden, data);
+    // Borrow each slot's cache for the stack; put them back after.
+    let mut segs: Vec<KvCache> = item.seqs.iter().map(|&(s, _)| std::mem::take(&mut caches[s])).collect();
+    for (l, w) in weights.iter().enumerate() {
+        h = forward_layer_stacked(w, ctx.n_heads, l, &h, &rows, &mut segs, ctx.alibi);
+    }
+    let mut r0 = 0;
+    for ((slot, x), cache) in item.seqs.iter_mut().zip(segs) {
+        caches[*slot] = cache;
+        x.data.copy_from_slice(&h.data[r0 * ctx.hidden..(r0 + x.rows) * ctx.hidden]);
+        r0 += x.rows;
+    }
+}
+
 /// The supervised stage-worker loop, generic over the transport that
 /// carries its messages — the same loop drives an in-process thread and
 /// a stage process on the other end of a TCP link.
@@ -607,11 +656,8 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                     // Duplicated channel message: already processed.
                     continue;
                 }
-                if let Some(&(seq, _)) = item.seqs.iter().find(|(s, _)| *s >= ctx.n_seqs) {
-                    let report = WorkerMsg::Protocol(format!(
-                        "stage {}: sequence id {seq} out of range (batch has {})",
-                        ctx.stage, ctx.n_seqs
-                    ));
+                if let Some(e) = slot_violation(&item, ctx.n_seqs) {
+                    let report = WorkerMsg::Protocol(format!("stage {}: {e}", ctx.stage));
                     if !send_downstream(ctx, link, report, true) {
                         flush(&metrics);
                         return;
@@ -662,14 +708,8 @@ pub fn run_worker_transport<T: Transport>(weights: &[LayerWeights], ctx: &Worker
                 let compute_start = tel.map(|t| t.now_us());
                 let t0 = ctx.clock.now();
                 let active: &[LayerWeights] = owned.as_deref().unwrap_or(weights);
-                for (seq, x) in item.seqs.iter_mut() {
-                    let mut h = x.clone();
-                    for (l, w) in active.iter().enumerate() {
-                        h = forward_layer_alibi(w, ctx.n_heads, l, &h, &mut caches[*seq], ctx.alibi);
-                    }
-                    *x = h;
-                    metrics.seq_forwards += 1;
-                }
+                forward_item(active, ctx, &mut item, &mut caches);
+                metrics.seq_forwards += item.seqs.len();
                 let elapsed = ctx.clock.now().saturating_sub(t0);
                 if slowdown > 1.0 {
                     // Straggler injection: pad compute to factor × real.
@@ -741,7 +781,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crossbeam::channel::unbounded;
-    use llmpq_model::{RefConfig, RefModel};
+    use llmpq_model::{forward_layer_alibi, RefConfig, RefModel};
 
     fn item(step: u64, seqs: Vec<(usize, Matrix)>) -> WorkItem {
         WorkItem { step, epoch: 0, microbatch: 0, phase: Phase::Prefill, sent_us: 0, seqs }
@@ -858,6 +898,30 @@ mod tests {
             WorkerMsg::Protocol(e) => assert!(e.contains("out of range"), "{e}"),
             other => panic!("violation must surface as a protocol reply, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn repeated_sequence_in_one_item_reports_protocol_error() {
+        let model = RefModel::new(RefConfig::tiny());
+        let weights = vec![model.layers[0].clone()];
+        let (tx_in, rx_in) = unbounded();
+        let (tx_out, rx_out) = unbounded();
+        let x = model.embed_tokens(&[1], 0);
+        // Slot 0 twice in one item: the stacked forward would run both
+        // rows against one cache — refuse instead of corrupting it.
+        tx_in.send(WorkerMsg::Work(item(0, vec![(0, x.clone()), (0, x.clone())]))).unwrap();
+        // The slot's cache is untouched: a later item sees it empty.
+        tx_in.send(WorkerMsg::Work(item(1, vec![(0, x.clone())]))).unwrap();
+        tx_in.send(WorkerMsg::Shutdown).unwrap();
+        run_worker(&weights, model.cfg.n_heads, model.cfg.hidden, false, 2, rx_in, tx_out);
+        match rx_out.recv().unwrap() {
+            WorkerMsg::Protocol(e) => assert!(e.contains("appears twice"), "{e}"),
+            other => panic!("violation must surface as a protocol reply, got {other:?}"),
+        }
+        let got = recv_work(&rx_out).expect("next item runs");
+        let mut fresh = llmpq_model::KvCache::new(1, model.cfg.hidden);
+        let want = forward_layer_alibi(&weights[0], model.cfg.n_heads, 0, &x, &mut fresh, false);
+        assert_eq!(got.seqs[0].1, want);
     }
 
     #[test]
